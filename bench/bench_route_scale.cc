@@ -6,20 +6,19 @@
 // (Watts-Strogatz small-world, Barabasi-Albert scale-free):
 //
 //  - PrunedVsExhaustive: the C3 all-courses query per (topology, peers,
-//    budget) cell. Budget 0 is the pre-route exhaustive BFS; nonzero
-//    budgets run the cost-bounded best-first route search (mapping
-//    index + hop budget + redundant-path elimination). Counters report
+//    budget) cell. Budget 0 is the unlimited search, exhaustive up to
+//    the network's reach; nonzero budgets add a hop budget and
+//    redundant-path elimination. Counters report
 //    recall against the generator's ground truth, so the wall-clock
 //    ratio between a pruned cell and its exhaustive row IS the
 //    acceptance measurement (>= 5x at >= 95% recall on the 1000-peer
 //    small-world cell).
 //  - ChurnWarmCache: peers join (AddPeer + AddMapping) and leave
 //    (FaultInjector SetDown/Restore) mid-workload while a fixed query
-//    working set replays through the plan cache. mode 0 runs scoped
-//    per-peer invalidation, mode 1 forces the legacy global generation
-//    bump. The hit_rate counter is the acceptance number: scoped stays
-//    warm (> 0.5) because a join only touches plans whose bounded peer
-//    path crosses the attach point; global decays toward 0.
+//    working set replays through the plan cache. The hit_rate counter
+//    is the acceptance number: scoped per-peer invalidation stays warm
+//    (> 0.5) because a join only touches plans whose bounded peer path
+//    crosses the attach point.
 //
 // REVERE_BENCH_SMOKE=1 shrinks peer counts so CI exercises every cell
 // in milliseconds.
@@ -68,7 +67,6 @@ Topology TopologyOf(int t) {
 /// (uniform costs: budget == reachable hops), cycle-eliminated.
 ReformulationOptions PrunedOptions(double budget) {
   ReformulationOptions opts;
-  opts.use_route_search = true;
   opts.max_path_cost = budget;
   opts.prune_redundant_paths = true;
   opts.max_depth = 64;  // the budget is the binding limit
@@ -76,8 +74,8 @@ ReformulationOptions PrunedOptions(double budget) {
   return opts;
 }
 
-/// The exhaustive arm: the pre-route BFS, depth-limited only by the
-/// network's reach.
+/// The exhaustive arm: no budget, no redundant-path elimination,
+/// depth-limited only by the network's reach.
 ReformulationOptions ExhaustiveOptions() {
   ReformulationOptions opts;
   opts.max_depth = 64;
@@ -85,7 +83,7 @@ ReformulationOptions ExhaustiveOptions() {
   return opts;
 }
 
-// arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive BFS).
+// arg0: topology, arg1: peers, arg2: hop budget (0 = unlimited).
 void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   PdmsNetwork net;
   net.set_metrics_enabled(false);
@@ -109,6 +107,9 @@ void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   ReformulationOptions opts =
       pruned ? PrunedOptions(static_cast<double>(budget))
              : ExhaustiveOptions();
+  // Time the search itself: with the cache on, every iteration after
+  // the first is a plan-cache hit.
+  opts.use_plan_cache = false;
 
   ReformulationStats stats;
   for (auto _ : state) {
@@ -170,15 +171,12 @@ bool JoinPeer(PdmsNetwork* net, const PdmsGenReport& report, size_t serial,
       .ok();
 }
 
-// arg0: mode (0 scoped invalidation, 1 legacy global generation).
 void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
-  bool global_mode = state.range(0) != 0;
   size_t peers = SmokeRun() ? 24 : 300;
   size_t working_set = SmokeRun() ? 8 : 40;
 
   PdmsNetwork net;
   net.set_metrics_enabled(false);
-  net.set_scoped_invalidation(!global_mode);
   PdmsGenOptions options;
   options.topology = Topology::kSmallWorld;
   options.peers = peers;
@@ -231,15 +229,12 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
       ++answers;
     }
   }
-  state.SetLabel(global_mode ? "global" : "scoped");
+  state.SetLabel("scoped");
   state.counters["peers"] = static_cast<double>(peers);
   state.counters["hit_rate"] =
       answers > 0 ? static_cast<double>(hits) / answers : 0.0;
   state.counters["churn_events"] = static_cast<double>(serial);
 }
-BENCHMARK(BM_RouteScale_ChurnWarmCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteScale_ChurnWarmCache)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -256,11 +256,9 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   c.reform.prune_unreachable = rng.Bernoulli(0.85);
   c.reform.prune_contained = rng.Bernoulli(0.15);
   if (rng.Bernoulli(opt.route_case_prob)) {
-    // Route-mode search (ISSUE 9): unlimited budget half the time (the
-    // byte-identical regime the whole oracle battery then runs in), a
-    // biting hop budget otherwise. Costs stay uniform (no feedback), so
-    // every configuration prunes identically.
-    c.reform.use_route_search = true;
+    // Route knobs: unlimited budget half the time, a biting hop budget
+    // otherwise. Costs stay uniform (no feedback), so every
+    // configuration prunes identically.
     c.reform.max_path_cost =
         rng.Bernoulli(0.5) ? 0.0 : 1.0 + static_cast<double>(rng.Index(3));
     c.reform.prune_redundant_paths = rng.Bernoulli(0.5);
@@ -323,9 +321,8 @@ struct EngineConfig {
   bool batch = false;       // AnswerBatch instead of per-query Answer
   bool double_run = false;  // answer everything twice (cold then warm)
   obs::Tracer* tracer = nullptr;
-  // Route-search overrides for the pruned_vs_exhaustive oracle; -1
+  // Route-search overrides for the pruned_vs_unlimited oracle; -1
   // leaves the case's own reform knobs in charge.
-  int route_mode = -1;             // 0 = force legacy BFS, 1 = force route
   double route_budget = -1.0;      // >= 0 overrides reform.max_path_cost
   int route_prune_redundant = -1;  // 0/1 overrides prune_redundant_paths
 };
@@ -383,7 +380,6 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
 
   ReformulationOptions reform = c.reform;
   reform.use_plan_cache = cfg.use_plan_cache;
-  if (cfg.route_mode >= 0) reform.use_route_search = cfg.route_mode == 1;
   if (cfg.route_budget >= 0.0) reform.max_path_cost = cfg.route_budget;
   if (cfg.route_prune_redundant >= 0) {
     reform.prune_redundant_paths = cfg.route_prune_redundant == 1;
@@ -471,6 +467,8 @@ bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
          check("pruned_redundant", ra.pruned_redundant,
                rb.pruned_redundant) &&
          check("rewritings", ra.rewritings, rb.rewritings) &&
+         check("stopped_at_max_rewritings", ra.stopped_at_max_rewritings,
+               rb.stopped_at_max_rewritings) &&
          check("rewritings_evaluated", a.rewritings_evaluated,
                b.rewritings_evaluated) &&
          check("peers_contacted", a.peers_contacted, b.peers_contacted) &&
@@ -494,6 +492,8 @@ bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
                b.completeness.breaker_skips) &&
          check("retries_denied", a.completeness.retries_denied,
                b.completeness.retries_denied) &&
+         check("search_truncated", a.completeness.search_truncated,
+               b.completeness.search_truncated) &&
          check("unreachable_peers",
                a.completeness.unreachable_peers.size(),
                b.completeness.unreachable_peers.size()) &&
@@ -574,8 +574,13 @@ void CheckStatsInvariants(OracleContext* ctx, const FuzzCase& c,
                where + "negative simulated clock");
     ctx->Check(s.plan_cache_hits + s.plan_cache_misses <= 1,
                "stats_invariants", where + "plan cache hit AND miss");
+    ctx->Check(s.completeness.search_truncated == s.reformulation.truncated(),
+               "stats_invariants",
+               where + "search_truncated disagrees with the search's cuts");
     if (!with_faults) {
-      ctx->Check(s.completeness.complete() &&
+      // A search cut leaves a fault-free answer partial, so only the
+      // fault counters are pinned here, not complete().
+      ctx->Check(s.completeness.rewritings_skipped == 0 &&
                      s.completeness.contacts_failed == 0 &&
                      s.completeness.retries_attempted == 0 &&
                      s.completeness.backoff_ms == 0.0 &&
@@ -747,90 +752,74 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
 
-/// Route-mode best-first search vs the exhaustive legacy BFS (ISSUE 9).
-/// With no contact feedback every hop costs the same, so the best-first
-/// queue pops in BFS order and an unlimited budget must reproduce the
-/// legacy path byte for byte — rows, statuses, stats, and zero pruning
-/// counters. A bounded budget may only *remove* answers, never invent
-/// them, and must replay bit-identically under faults.
+/// Cost-bounded search vs the unlimited search. With no
+/// contact feedback every hop costs the same, so an unlimited budget
+/// never prunes, and a bounded budget may only *remove* answers, never
+/// invent them, must report the cut as a partial answer, and must
+/// replay bit-identically under faults.
 void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
-  EngineConfig exhaustive_cfg;  // slots + on-demand indexes
-  exhaustive_cfg.route_mode = 0;
-  EngineRun exhaustive = Run(c, exhaustive_cfg);
-
-  EngineConfig unlimited_cfg = exhaustive_cfg;
-  unlimited_cfg.route_mode = 1;
+  EngineConfig unlimited_cfg;  // slots + on-demand indexes
   unlimited_cfg.route_budget = 0.0;
   unlimited_cfg.route_prune_redundant = 0;
   EngineRun unlimited = Run(c, unlimited_cfg);
-  CompareRuns(ctx, "pruned_vs_exhaustive", exhaustive.outcomes,
-              unlimited.outcomes);
   for (size_t i = 0; i < unlimited.outcomes.size(); ++i) {
     const auto& r = unlimited.outcomes[i].stats.reformulation;
     ctx->Check(r.pruned_cost == 0 && r.pruned_redundant == 0,
-               "pruned_vs_exhaustive",
+               "pruned_vs_unlimited",
                "query " + std::to_string(i) +
                    " pruned with an unlimited budget (cost=" +
                    std::to_string(r.pruned_cost) + " redundant=" +
                    std::to_string(r.pruned_redundant) + ")");
   }
 
-  // Faulted arm: identical rewritings in identical order mean identical
-  // injector draws, so the degraded runs must match byte for byte too.
-  EngineConfig exhaustive_fault_cfg = exhaustive_cfg;
-  exhaustive_fault_cfg.with_faults = true;
-  EngineConfig unlimited_fault_cfg = unlimited_cfg;
-  unlimited_fault_cfg.with_faults = true;
-  CompareRuns(ctx, "pruned_vs_exhaustive",
-              Run(c, exhaustive_fault_cfg).outcomes,
-              Run(c, unlimited_fault_cfg).outcomes,
-              /*compare_stats=*/true, /*compare_cache_flags=*/true);
-
   // Bounded budget (1-3 uniform-cost hops, seed-derived so replays are
   // exact): answers shrink monotonically. The subset claim only holds
-  // when the exhaustive search was actually exhaustive — if it stopped
-  // at max_rewritings, pruning can surface rewritings the truncated run
+  // when the unlimited search was exhaustive — if it stopped at
+  // max_rewritings, pruning can surface rewritings the truncated run
   // never emitted, so the comparison is skipped for that query.
   EngineConfig bounded_cfg = unlimited_cfg;
   bounded_cfg.route_budget = 1.0 + static_cast<double>(c.seed % 3);
   bounded_cfg.route_prune_redundant = 1;
   EngineRun bounded = Run(c, bounded_cfg);
   CheckStatsInvariants(ctx, c, bounded, /*with_faults=*/false);
-  size_t n = std::min(bounded.outcomes.size(), exhaustive.outcomes.size());
+  size_t n = std::min(bounded.outcomes.size(), unlimited.outcomes.size());
   for (size_t i = 0; i < n; ++i) {
     const QueryOutcome& b = bounded.outcomes[i];
-    const QueryOutcome& e = exhaustive.outcomes[i];
-    if (!b.status.ok() || !e.status.ok()) continue;
+    const QueryOutcome& u = unlimited.outcomes[i];
+    if (!b.status.ok() || !u.status.ok()) continue;
     std::string where = "query " + std::to_string(i);
+    ctx->Check(b.stats.reformulation.pruned_cost == 0 ||
+                   !b.stats.completeness.complete(),
+               "pruned_vs_unlimited",
+               where + " budget cut a path but the answer reads complete");
     ctx->Check(b.stats.reformulation.rewritings <=
-                   e.stats.reformulation.rewritings,
-               "pruned_vs_exhaustive",
+                   u.stats.reformulation.rewritings,
+               "pruned_vs_unlimited",
                where + " bounded budget found more rewritings than the "
-                       "exhaustive search");
-    if (e.stats.reformulation.rewritings >= c.reform.max_rewritings) {
-      continue;  // exhaustive run was truncated; subset claim is void
+                       "unlimited search");
+    if (u.stats.reformulation.rewritings >= c.reform.max_rewritings) {
+      continue;  // unlimited run was truncated; subset claim is void
     }
-    std::unordered_set<Row, storage::RowHash> full(e.rows.begin(),
-                                                   e.rows.end());
+    std::unordered_set<Row, storage::RowHash> full(u.rows.begin(),
+                                                   u.rows.end());
     bool subset = true;
     for (const Row& r : b.rows) {
       if (full.count(r) == 0) subset = false;
     }
-    ctx->Check(subset, "pruned_vs_exhaustive",
+    ctx->Check(subset, "pruned_vs_unlimited",
                where + " bounded budget invented rows absent from the "
-                       "exhaustive answer: got " +
-                   DescribeRows(b.rows) + " domain " + DescribeRows(e.rows));
+                       "unlimited answer: got " +
+                   DescribeRows(b.rows) + " domain " + DescribeRows(u.rows));
   }
 
   // Bounded + faults: a fresh injector from the same seed replays the
   // degraded pruned run bit-identically.
   EngineConfig bounded_fault_cfg = bounded_cfg;
   bounded_fault_cfg.with_faults = true;
-  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, bounded_fault_cfg).outcomes,
+  CompareRuns(ctx, "pruned_vs_unlimited", Run(c, bounded_fault_cfg).outcomes,
               Run(c, bounded_fault_cfg).outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
-
 
 uint64_t DigestRun(const std::vector<QueryOutcome>& outcomes) {
   uint64_t h = Fnv1a64("fuzz-digest-v1");
@@ -998,10 +987,10 @@ CaseReport CheckCase(const FuzzCase& c) {
     }
     ctx.Check(subset, "fault_replay",
               where + " degraded answer contains rows absent fault-free");
-    if (f.stats.completeness.complete() &&
+    if (f.stats.completeness.rewritings_skipped == 0 &&
         f.stats.completeness.unreachable_peers.empty()) {
       ctx.Check(f.rows == b.rows, "fault_replay",
-                where + " complete()==true but answers differ from "
+                where + " no rewriting skipped but answers differ from "
                         "fault-free run");
     }
   }
@@ -1085,9 +1074,9 @@ CaseReport CheckCase(const FuzzCase& c) {
               Run(c, col_scalar_fault_cfg).outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
-  // 11. Cost-bounded route search vs the exhaustive legacy BFS
-  //     (ISSUE 9): unlimited budget byte-identical, bounded budget
-  //     subset-only, pruning counters exact, with and without faults.
+  // 11. Cost-bounded search vs the unlimited search: the
+  //     unlimited budget never prunes, a bounded budget is subset-only
+  //     and reads partial, faulted replays are exact.
   CheckRouteOracle(&ctx, c);
 
   // 12. MVCC snapshots under a concurrent writer (ISSUE 10): answers
@@ -1279,7 +1268,6 @@ std::string SerializeCase(const FuzzCase& c) {
          (c.reform.prune_duplicates ? "1" : "0") + " " +
          (c.reform.prune_unreachable ? "1" : "0") + " " +
          (c.reform.prune_contained ? "1" : "0") + " " +
-         (c.reform.use_route_search ? "1" : "0") + " " +
          FormatDouble(c.reform.max_path_cost) + " " +
          (c.reform.prune_redundant_paths ? "1" : "0") + "\n";
   out += "retry " + std::to_string(c.retry.max_attempts) + " " +
@@ -1354,12 +1342,18 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       c.reform.prune_duplicates = tok[3] == "1";
       c.reform.prune_unreachable = tok[4] == "1";
       c.reform.prune_contained = tok[5] == "1";
-      // Route knobs (ISSUE 9) — optional, so pre-route seed files and
-      // shrunken cases from older binaries still load.
+      // Route knobs: `<budget> <redundant>`. Older binaries
+      // wrote a search-mode flag before them (9 tokens); a 0 there ran
+      // the breadth-first search, which is budget 0 with no redundancy
+      // pruning. Pre-route files (6 tokens) carry no route knobs.
       if (tok.size() >= 9) {
-        c.reform.use_route_search = tok[6] == "1";
-        REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[7]));
-        c.reform.prune_redundant_paths = tok[8] == "1";
+        if (tok[6] == "1") {
+          REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[7]));
+          c.reform.prune_redundant_paths = tok[8] == "1";
+        }
+      } else if (tok.size() == 8) {
+        REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[6]));
+        c.reform.prune_redundant_paths = tok[7] == "1";
       }
     } else if (kind == "retry") {
       REVERE_RETURN_IF_ERROR(need(3));

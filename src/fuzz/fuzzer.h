@@ -53,14 +53,14 @@ namespace revere::fuzz {
 ///                     the forced-scalar fallback (EvalOptions::
 ///                     use_simd=false) byte for byte, fault-free and
 ///                     faulted, digest-pinned to the map engine
-///   pruned_vs_exhaustive
-///                     the route-mode best-first search (ISSUE 9) with
-///                     an unlimited budget == the legacy exhaustive BFS
-///                     byte for byte (rows, statuses, stats, zero
-///                     pruning counters); with a bounded max_path_cost
-///                     it may only *remove* answers — every returned
-///                     row is in the exhaustive answer — with sane
-///                     pruning accounting, fault-free and faulted
+///   pruned_vs_unlimited
+///                     the reformulation search with an
+///                     unlimited budget never prunes by cost or
+///                     redundancy; with a bounded max_path_cost it may
+///                     only *remove* answers — every returned row is in
+///                     the unlimited answer — reads partial whenever
+///                     the budget cut a path, and replays
+///                     bit-identically under faults
 ///   snapshot_vs_quiesced
 ///                     MVCC (ISSUE 10): answers computed while a writer
 ///                     thread churns every stored relation == the same
@@ -127,7 +127,7 @@ struct FuzzCaseOptions {
   /// Random-topology chord probability — the one documented default,
   /// shared with datagen::PdmsGenOptions (they used to drift).
   double extra_edge_prob = datagen::kDefaultExtraEdgeProb;
-  double route_case_prob = 0.3;  // chance a case runs route-mode search
+  double route_case_prob = 0.3;  // chance a case sets route budget knobs
 };
 
 /// Deterministically generates the case for `seed` (same seed, same

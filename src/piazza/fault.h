@@ -189,8 +189,17 @@ struct CompletenessReport {
   /// Peers that stayed unreachable after retries.
   std::set<std::string> unreachable_peers;
 
-  /// True when no rewriting was lost to peer failures or deadlines.
-  bool complete() const { return rewritings_skipped == 0; }
+  /// The reformulation search cut a path that could still have produced
+  /// a rewriting (ReformulationStats::truncated(): max_depth, the cost
+  /// budget, or max_rewritings reached with nodes left), so even a
+  /// fault-free answer may miss rows. Set on plan-cache hits too.
+  bool search_truncated = false;
+
+  /// True when no rewriting was lost to peer failures or deadlines and
+  /// the search reached every rewriting its mappings allow.
+  bool complete() const {
+    return rewritings_skipped == 0 && !search_truncated;
+  }
 };
 
 }  // namespace revere::piazza

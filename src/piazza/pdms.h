@@ -244,40 +244,30 @@ class PdmsNetwork {
   /// Hit/miss/eviction counters for benches and tests.
   PlanCache::Stats PlanCacheStats() const { return plan_cache_->GetStats(); }
   /// The mutation clock: bumped whenever mappings, stored relations,
-  /// views, or topology change. Under scoped invalidation (the default)
-  /// it is the fast-path freshness check cached plans memoize against;
-  /// under `set_scoped_invalidation(false)` it is the sole invalidation
-  /// key — cached plans from older generations are never served.
+  /// views, or topology change. It is the fast-path freshness check
+  /// cached plans memoize against (see CachedPlan::valid_through).
   uint64_t plan_generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
 
   // ---- Scoped plan invalidation (ISSUE 9) ---------------------------
+  // A structural change invalidates only the cached plans whose search
+  // touched a changed peer, so an `AddPeer` on a 1k-peer network leaves
+  // the other 999 peers' warm plans servable.
 
-  /// Scoped (per-peer) invalidation, on by default: a structural change
-  /// invalidates only the cached plans whose search touched a changed
-  /// peer, so an `AddPeer` on a 1k-peer network leaves the other 999
-  /// peers' warm plans servable. `false` restores the pre-route global
-  /// behavior — every mutation drops every plan — as a safety escape
-  /// hatch and the bench's comparison arm. Switching modes clears the
-  /// cache (entries from the two modes carry incompatible stamps).
-  void set_scoped_invalidation(bool enabled);
-  bool scoped_invalidation() const {
-    return scoped_invalidation_.load(std::memory_order_relaxed);
-  }
   /// The per-peer invalidation stamp (0 until the peer's first
   /// structural change — including its own join). For tests.
   uint64_t peer_generation(const std::string& peer) const;
 
   // ---- Scale-aware routing (ISSUE 9) --------------------------------
 
-  /// This network's route table: per-peer cost estimates driving the
-  /// cost-bounded reformulation search
-  /// (ReformulationOptions::use_route_search). Seed it via
-  /// route::SeedFrom* or SetStaticCost, or wire live feedback with
+  /// This network's route table: per-peer cost estimates ordering the
+  /// best-first reformulation search and its cost budget
+  /// (ReformulationOptions::max_path_cost). Seed it via route::SeedFrom*
+  /// or SetStaticCost, or wire live feedback with
   /// NetworkCostModel::route_feedback. With no estimates every peer
-  /// costs RouteTable::kDefaultCost, making route-mode search order
-  /// identical to the legacy breadth-first expansion.
+  /// costs RouteTable::kDefaultCost, so the search expands breadth
+  /// first.
   route::RouteTable* route_table() const { return route_table_.get(); }
 
   /// Declarative overlay-shape metadata from the `topology` config
@@ -363,19 +353,12 @@ class PdmsNetwork {
   /// (fixpoint; recomputed when mappings change).
   void RecomputeProductive();
 
-  /// Marks a change to mappings/topology/views: bumps the mutation
-  /// clock so every previously cached plan reads as stale (legacy mode)
-  /// or gets its scope re-validated (scoped mode).
-  void InvalidatePlans() {
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Scoped invalidation: bumps the mutation clock AND the per-peer
-  /// stamp of every peer in `peers`, so only plans whose search touched
-  /// one of them fail scope validation. Callers pass the peers a
-  /// mutation structurally affects (endpoints of a new mapping, the
-  /// peer gaining storage, plus every peer whose relations changed
-  /// productivity — see ProductivityDiffPeers).
+  /// Bumps the per-peer stamp of every peer in `peers`, so only plans
+  /// whose search touched one of them fail scope validation, and the
+  /// mutation clock, so every cached plan re-validates on its next hit.
+  /// Callers pass the peers a mutation structurally affects (endpoints
+  /// of a new mapping, the peer gaining storage, plus every peer whose
+  /// relations changed productivity — see ProductivityDiffPeers).
   void InvalidatePlansTouching(const std::set<std::string>& peers);
 
   /// Peers owning a relation whose `productive_` status differs from
@@ -411,12 +394,12 @@ class PdmsNetwork {
 
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   std::vector<PeerMapping> mappings_;
-  /// Route-mode expansion index: qualified relation name → the mappings
-  /// (and application direction) that can rewrite an atom of that
-  /// relation. Rebuilt alongside `mappings_`; lets the best-first
-  /// search touch only the mappings incident to a node's atoms instead
-  /// of scanning all of them — the O(edges-at-node) vs O(all-mappings)
-  /// difference that makes 1k-peer reformulation interactive.
+  /// Expansion index: qualified relation name → the mappings (and
+  /// application direction) that can rewrite an atom of that relation.
+  /// Rebuilt alongside `mappings_`; lets the search touch only the
+  /// mappings incident to a node's atoms instead of scanning all of
+  /// them — the O(edges-at-node) vs O(all-mappings) difference that
+  /// makes 1k-peer reformulation interactive.
   struct MappingUse {
     size_t index = 0;   // into mappings_
     bool forward = true;  // target→source application (else backward)
@@ -435,8 +418,6 @@ class PdmsNetwork {
   /// take gen_mu_ alone.
   mutable std::shared_mutex gen_mu_;
   std::map<std::string, uint64_t> peer_generations_;
-  /// See set_scoped_invalidation().
-  std::atomic<bool> scoped_invalidation_{true};
   /// See set_topology_hint().
   std::string topology_hint_;
   size_t declared_peers_ = 0;

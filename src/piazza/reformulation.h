@@ -31,25 +31,19 @@ struct ReformulationOptions {
   bool use_plan_cache = true;
 
   // ---- Scale-aware routing (ISSUE 9) --------------------------------
+  // The search is best-first, ordered by accumulated peer-path cost
+  // from the network's RouteTable, and expands candidates through a
+  // relation→mapping index. With uniform costs the priority queue pops
+  // in breadth-first order.
 
-  /// Route-mode search: best-first expansion ordered by accumulated
-  /// peer-path cost from the network's RouteTable, expanding candidates
-  /// through a relation→mapping index instead of scanning every mapping
-  /// at every node. With every budget below unlimited (max_path_cost
-  /// = 0, prune_redundant_paths = false) the rewriting set is identical
-  /// to the legacy breadth-first search — uniform edge costs make the
-  /// priority queue pop in exact BFS order — which the eleventh fuzz
-  /// oracle (`pruned_vs_exhaustive`) checks case by case.
-  bool use_route_search = false;
   /// Cost budget: a search path whose accumulated RouteTable edge cost
   /// exceeds this is not expanded (counted in `pruned_cost`). 0 means
-  /// unlimited. Only meaningful with use_route_search.
+  /// unlimited.
   double max_path_cost = 0.0;
   /// Redundant-path elimination beyond syntactic dedup: skip expansions
   /// that re-enter a peer already on the path (cycle elimination) and
   /// drop emitted rewritings whose canonical fingerprint was already
-  /// kept (counted in `pruned_redundant`). Only meaningful with
-  /// use_route_search.
+  /// kept (counted in `pruned_redundant`).
   bool prune_redundant_paths = false;
 };
 
@@ -62,24 +56,38 @@ struct ReformulationStats {
   size_t nodes_expanded = 0;
   size_t pruned_duplicates = 0;
   size_t pruned_unreachable = 0;
+  /// Nodes at `max_depth` that still had work the cut dropped: a node
+  /// with a non-stored atom, or a fully stored node with an expansion
+  /// whose canonical form the search has not seen.
   size_t pruned_depth = 0;
   size_t pruned_contained = 0;
-  /// Route mode (ISSUE 9): expansions dropped because their accumulated
-  /// peer-path cost exceeded `max_path_cost` — the honest completeness
-  /// ledger for cost-bounded search (a nonzero value means the
-  /// rewriting set may be a subset of the exhaustive one). Reported as
+  /// Expansions dropped because their accumulated peer-path cost
+  /// exceeded `max_path_cost` — the honest completeness ledger for
+  /// cost-bounded search (a nonzero value means the rewriting set may
+  /// be a subset of the exhaustive one). Reported as
   /// `rewritings_pruned_cost` in docs/benches.
   size_t pruned_cost = 0;
-  /// Route mode: expansions/emissions dropped by redundant-path
+  /// Expansions/emissions dropped by redundant-path
   /// elimination (peer-path cycles, subsumed canonical fingerprints).
   /// Reported as `rewritings_pruned_redundant` in docs/benches.
   size_t pruned_redundant = 0;
   size_t rewritings = 0;
+  /// 1 when the search stopped at `max_rewritings` with nodes left to
+  /// expand.
+  size_t stopped_at_max_rewritings = 0;
   /// 1 when this reformulation was served from the plan cache.
   size_t plan_cache_hits = 0;
   /// 1 when the cache was consulted and missed (computed + inserted).
   /// Both zero means the cache was disabled or bypassed.
   size_t plan_cache_misses = 0;
+
+  /// True when the search cut a path that could still have produced a
+  /// new rewriting — by depth, by the cost budget, or at the rewriting
+  /// cap — so the rewriting set may be a subset of the full closure.
+  bool truncated() const {
+    return pruned_depth > 0 || pruned_cost > 0 ||
+           stopped_at_max_rewritings > 0;
+  }
 };
 
 }  // namespace revere::piazza

@@ -23,7 +23,7 @@ namespace revere::storage {
 /// join; ints/doubles/bools/nulls ride the same encoding, paying one
 /// indirection only when a result row is materialized. Two codes within
 /// one column are equal iff the underlying Values are `==`; codes are
-/// NOT comparable across columns — executors translate through the
+/// NOT comparable across columns — engines translate through the
 /// dictionaries (see vectorized.cc's translation arrays).
 ///
 /// The grouped index (`group_offsets`/`group_rows`, a stable counting

@@ -74,6 +74,41 @@ TEST(FuzzSerializeTest, RejectsGarbage) {
       ParseCase("revere-fuzz-case v1\nrow 0 \"orphan\"\nend\n").ok());
 }
 
+TEST(FuzzSerializeTest, LoadsOlderReformLines) {
+  FuzzCase c = GenerateCase(1);
+  c.reform.max_path_cost = 2.0;
+  c.reform.prune_redundant_paths = true;
+  const std::string text = SerializeCase(c);
+  // The current line ends "<budget> <redundant>"; older binaries wrote a
+  // search-mode flag before those two tokens.
+  const std::string knobs =
+      "reform " + std::to_string(c.reform.max_depth) + " " +
+      std::to_string(c.reform.max_rewritings) + " 1 " +
+      (c.reform.prune_unreachable ? "1" : "0") + " " +
+      (c.reform.prune_contained ? "1" : "0");
+  const size_t at = text.find(knobs + " 2 1\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  auto with_tail = [&](const std::string& tail) {
+    std::string old = text;
+    old.replace(at, knobs.size() + 4, knobs + tail);
+    return old;
+  };
+
+  // Flag 1 keeps the route knobs; the case re-saves in the current form.
+  Result<FuzzCase> routed = ParseCase(with_tail(" 1 2 1"));
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(SerializeCase(routed.value()), text);
+
+  // Flag 0 ran the breadth-first search, which is budget 0 with no
+  // redundancy pruning, whatever the trailing tokens say.
+  Result<FuzzCase> bfs = ParseCase(with_tail(" 0 2 1"));
+  ASSERT_TRUE(bfs.ok()) << bfs.status().ToString();
+  FuzzCase expected = c;
+  expected.reform.max_path_cost = 0.0;
+  expected.reform.prune_redundant_paths = false;
+  EXPECT_EQ(SerializeCase(bfs.value()), SerializeCase(expected));
+}
+
 TEST(FuzzSerializeTest, SaveLoadFile) {
   FuzzCase c = GenerateCase(7);
   std::string path =

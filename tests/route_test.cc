@@ -129,7 +129,7 @@ TEST(RouteSeedTest, HistogramP50SeedsLatency) {
   EXPECT_EQ(table.GetEstimate("empty").samples, 0u);
 }
 
-// ------------------------------------------- route-mode search (pdms)
+// ------------------------------------------------ route search (pdms)
 
 struct BuiltNet {
   PdmsNetwork net;
@@ -146,42 +146,84 @@ void BuildChain(BuiltNet* out, size_t peers) {
   out->report = report.value();
 }
 
-TEST(RouteSearchTest, UnlimitedBudgetMatchesLegacyByteForByte) {
+TEST(RouteSearchTest, UnlimitedBudgetReachesEveryPeer) {
   BuiltNet built;
   BuildChain(&built, 5);
   ConjunctiveQuery q = AllCoursesQuery(built.report, 0);
 
-  ReformulationOptions legacy;
-  legacy.max_depth = 6;
-  ReformulationStats legacy_stats;
-  auto legacy_rw = built.net.Reformulate(q, legacy, &legacy_stats);
-  ASSERT_TRUE(legacy_rw.ok());
+  ReformulationOptions unlimited;  // max_path_cost = 0
+  unlimited.max_depth = 6;
+  ReformulationStats stats;
+  auto rewritings = built.net.Reformulate(q, unlimited, &stats);
+  ASSERT_TRUE(rewritings.ok());
+  // One rewriting per peer on the chain, nothing pruned or cut.
+  EXPECT_EQ(stats.rewritings, 5u);
+  EXPECT_EQ(stats.pruned_cost, 0u);
+  EXPECT_EQ(stats.pruned_redundant, 0u);
+  EXPECT_EQ(stats.pruned_depth, 0u);
+  EXPECT_FALSE(stats.truncated());
 
-  ReformulationOptions routed = legacy;
-  routed.use_route_search = true;  // max_path_cost = 0: unlimited
-  ReformulationStats routed_stats;
-  auto routed_rw = built.net.Reformulate(q, routed, &routed_stats);
-  ASSERT_TRUE(routed_rw.ok());
+  piazza::ExecutionStats exec;
+  auto rows = built.net.Answer(q, unlimited, &exec);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().size(), 10u);  // all five peers' rows
+  EXPECT_TRUE(exec.completeness.complete());
+}
 
-  // Uniform costs make the best-first queue pop in BFS order: same
-  // rewritings (up to variable naming), same counters, zero pruning.
-  ASSERT_EQ(routed_rw.value().size(), legacy_rw.value().size());
-  for (size_t i = 0; i < routed_rw.value().size(); ++i) {
-    EXPECT_TRUE(
-        query::AlphaEquivalent(routed_rw.value()[i], legacy_rw.value()[i]))
-        << "rewriting " << i;
+// A chain one hop longer than max_depth: the far peer's rows are cut.
+// The cut happens at a fully stored node (every chain peer stores its
+// relation), which must still count in pruned_depth and leave the
+// answer marked partial — cold and from a warm plan-cache hit.
+TEST(RouteSearchTest, DepthCutAtStoredNodeMarksAnswerPartial) {
+  BuiltNet built;
+  BuildChain(&built, 14);  // 13 hops end to end
+  ConjunctiveQuery q = AllCoursesQuery(built.report, 0);
+
+  ReformulationOptions reform;
+  ASSERT_EQ(reform.max_depth, 12);
+  for (int pass = 0; pass < 2; ++pass) {
+    piazza::ExecutionStats exec;
+    auto rows = built.net.Answer(q, reform, &exec);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(exec.plan_cache_hits, pass == 0 ? 0u : 1u);
+    EXPECT_EQ(rows.value().size(), 26u);  // 13 of 14 peers
+    EXPECT_GT(exec.reformulation.pruned_depth, 0u);
+    EXPECT_TRUE(exec.completeness.search_truncated);
+    EXPECT_FALSE(exec.completeness.complete());
+    EXPECT_EQ(exec.completeness.rewritings_skipped, 0u);
   }
-  EXPECT_EQ(routed_stats.nodes_expanded, legacy_stats.nodes_expanded);
-  EXPECT_EQ(routed_stats.rewritings, legacy_stats.rewritings);
-  EXPECT_EQ(routed_stats.pruned_cost, 0u);
-  EXPECT_EQ(routed_stats.pruned_redundant, 0u);
 
-  // And the answers are byte-identical.
-  auto legacy_rows = built.net.Answer(q, legacy);
-  auto routed_rows = built.net.Answer(q, routed);
-  ASSERT_TRUE(legacy_rows.ok());
-  ASSERT_TRUE(routed_rows.ok());
-  EXPECT_EQ(routed_rows.value(), legacy_rows.value());
+  // One more level reaches the far end; the last node's only children
+  // lead back to peers already seen, so that cut drops nothing.
+  reform.max_depth = 13;
+  piazza::ExecutionStats exec;
+  auto rows = built.net.Answer(q, reform, &exec);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().size(), 28u);
+  EXPECT_EQ(exec.reformulation.pruned_depth, 0u);
+  EXPECT_TRUE(exec.completeness.complete());
+}
+
+TEST(RouteSearchTest, RewritingCapWithNodesLeftMarksAnswerPartial) {
+  BuiltNet built;
+  BuildChain(&built, 5);
+  ConjunctiveQuery q = AllCoursesQuery(built.report, 0);
+
+  ReformulationOptions capped;
+  capped.max_rewritings = 3;
+  piazza::ExecutionStats exec;
+  auto rows = built.net.Answer(q, capped, &exec);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(exec.reformulation.rewritings, 3u);
+  EXPECT_EQ(exec.reformulation.stopped_at_max_rewritings, 1u);
+  EXPECT_FALSE(exec.completeness.complete());
+
+  // A cap the search never needs leaves the answer complete.
+  capped.max_rewritings = 5;
+  auto all = built.net.Answer(q, capped, &exec);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(exec.reformulation.stopped_at_max_rewritings, 0u);
+  EXPECT_TRUE(exec.completeness.complete());
 }
 
 TEST(RouteSearchTest, BoundedBudgetPrunesWithExactAccounting) {
@@ -196,15 +238,16 @@ TEST(RouteSearchTest, BoundedBudgetPrunesWithExactAccounting) {
   EXPECT_EQ(full.value().size(), 12u);  // all six peers' rows
 
   ReformulationOptions bounded = exhaustive;
-  bounded.use_route_search = true;
   bounded.max_path_cost = 2.0;  // two uniform-cost hops down the chain
   ReformulationStats stats;
   auto rewritings = built.net.Reformulate(q, bounded, &stats);
   ASSERT_TRUE(rewritings.ok());
   EXPECT_GT(stats.pruned_cost, 0u);
 
-  auto rows = built.net.Answer(q, bounded);
+  piazza::ExecutionStats exec;
+  auto rows = built.net.Answer(q, bounded, &exec);
   ASSERT_TRUE(rows.ok());
+  EXPECT_FALSE(exec.completeness.complete());  // the budget cut paths
   // Three peers within two hops of peer0 on the chain.
   EXPECT_EQ(rows.value().size(), 6u);
   // Pruned answers are a subset of the exhaustive answer.
@@ -222,7 +265,6 @@ TEST(RouteSearchTest, RedundantPathEliminationCountsCycles) {
 
   ReformulationOptions routed;
   routed.max_depth = 6;
-  routed.use_route_search = true;
   routed.prune_redundant_paths = true;
   ReformulationStats stats;
   auto rewritings = built.net.Reformulate(q, routed, &stats);
@@ -249,7 +291,6 @@ TEST(RouteSearchTest, NonUniformCostsSteerThePruning) {
   ConjunctiveQuery q = AllCoursesQuery(report.value(), 0);
   ReformulationOptions routed;
   routed.max_depth = 4;
-  routed.use_route_search = true;
   routed.max_path_cost = 5.0;
   auto rows = net.Answer(q, routed);
   ASSERT_TRUE(rows.ok());
@@ -297,7 +338,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   ASSERT_TRUE(AddIsolatedPair(&net, "x", "y").ok());
-  ASSERT_TRUE(net.scoped_invalidation());
 
   EXPECT_FALSE(WarmHit(&net, QueryAt("a")));  // cold build
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // warm
@@ -318,17 +358,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
                   .ok());
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // untouched component
   EXPECT_FALSE(WarmHit(&net, QueryAt("x")));  // rebuilt
-}
-
-TEST(ScopedInvalidationTest, GlobalModeInvalidatesEverything) {
-  PdmsNetwork net;
-  net.set_scoped_invalidation(false);
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  // Any mutation — even an unrelated peer — cold-starts every plan.
-  ASSERT_TRUE(net.AddPeer("newcomer").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
 }
 
 TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
@@ -355,21 +384,9 @@ TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
   EXPECT_GT(net.peer_generation("b"), b0);
 }
 
-TEST(ScopedInvalidationTest, ModeFlipClearsTheCache) {
-  PdmsNetwork net;
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(false);  // flip => stale keys are dropped
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(true);
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-}
-
-TEST(ScopedInvalidationTest, MutationStillInvalidatesLegacyReformulate) {
-  // The legacy global generation keeps ticking in scoped mode, so code
-  // reading plan_generation() directly still observes every mutation.
+TEST(ScopedInvalidationTest, EveryMutationAdvancesTheClock) {
+  // The global mutation clock ticks on every structural change, so code
+  // reading plan_generation() directly observes each one.
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   uint64_t g0 = net.plan_generation();
