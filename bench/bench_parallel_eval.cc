@@ -1,10 +1,9 @@
 // Experiments P1 (parallel, allocation-lean query answering, ISSUE 2)
 // and P3 (columnar vectorized execution, ISSUE 7).
 //
-// Sweeps (a) the binding representation — legacy string-keyed map
-// copies vs slot-compiled vector<Value> bindings — and the on-demand
-// hash-index path, single-threaded; and (b) the thread-pool worker
-// count (1/2/4/8) for the parallel union evaluator and the parallel
+// Sweeps (a) slot-compiled vector<Value> bindings with and without the
+// on-demand hash-index path, single-threaded; and (b) the thread-pool
+// worker count (1/2/4/8) for the parallel union evaluator and the parallel
 // rewriting evaluation inside PdmsNetwork::Answer. Workloads: the
 // Figure-2 six-university network and a scaled random-topology
 // universe (datagen), with a full-sweep union, and a per-peer
@@ -19,8 +18,8 @@
 // Counters: rows (result size), identical (determinism check),
 // indexes (total indexed columns after the run — shows memoization).
 //
-// P3 sweeps the evaluation engine itself — map vs slots vs columnar —
-// over the same title-self-join union P1 measures, one isolated
+// P3 sweeps the evaluation engine itself — slots vs columnar — over
+// the same title-self-join union P1 measures, one isolated
 // fixture per engine. The benchmark names carry an `engine_<name>`
 // suffix so the runner's --engine flag (and the smoke_engine_sweep CI
 // target) can select one engine per process.
@@ -109,10 +108,10 @@ struct EvalFixture {
   std::vector<ConjunctiveQuery> joins;  // one title self-join per peer
 };
 
-/// repr argument decoding for the binding sweeps.
+/// repr argument decoding for the binding sweeps. The ids are part of
+/// the bench names that trajectories are keyed on, so they stay fixed.
 EvalOptions ReprOptions(int repr) {
   EvalOptions options;
-  options.engine = repr >= 1 ? EvalEngine::kSlots : EvalEngine::kMap;
   options.on_demand_indexes = repr >= 2;
   return options;
 }
@@ -134,8 +133,7 @@ EvalFixture& WorkerFixture() {
 
 // --------------------------------------------------------------------
 // (a) Binding representation, single-threaded.
-//     arg0: 0 = legacy map bindings, 1 = slot bindings,
-//           2 = slot bindings + on-demand indexes.
+//     arg0: 1 = slot bindings, 2 = slot bindings + on-demand indexes.
 // --------------------------------------------------------------------
 
 /// Full-sweep union: every rewriting scans one base table — isolates
@@ -154,12 +152,12 @@ void BM_P1_SweepBinding(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["rewritings"] = static_cast<double>(f.sweep.size());
 }
-BENCHMARK(BM_P1_SweepBinding)->DenseRange(0, 1, 1)
+BENCHMARK(BM_P1_SweepBinding)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// Join union: the second atom's title position is bound but not
-/// indexed — repr 2 builds the index on demand and probes, repr 0/1
-/// rescan the table for every outer row.
+/// indexed — repr 2 builds the index on demand and probes, repr 1
+/// rescans the table for every outer row.
 void BM_P1_JoinBinding(benchmark::State& state) {
   int repr = static_cast<int>(state.range(0));
   EvalFixture& f = ReprFixture(repr);
@@ -174,7 +172,7 @@ void BM_P1_JoinBinding(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["indexes"] = static_cast<double>(f.TotalIndexes());
 }
-BENCHMARK(BM_P1_JoinBinding)->DenseRange(0, 2, 1)
+BENCHMARK(BM_P1_JoinBinding)->DenseRange(1, 2, 1)
     ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------
@@ -264,30 +262,19 @@ BENCHMARK(BM_P1_Fig2AnswerWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // shared reference fixture whose slot-engine answer pins correctness.
 // --------------------------------------------------------------------
 
+/// engine_id: 1 = slots (on-demand indexes), 2 = columnar.
 EvalOptions EngineOptions(int engine_id) {
   EvalOptions options;
-  switch (engine_id) {
-    case 0:
-      options.engine = EvalEngine::kMap;
-      options.on_demand_indexes = false;
-      break;
-    case 1:
-      options.engine = EvalEngine::kSlots;
-      options.on_demand_index_min_rows = 0;
-      break;
-    case 3:  // columnar on the forced-scalar kernel table (ISSUE 8)
-      options.engine = EvalEngine::kColumnar;
-      options.use_simd = false;
-      break;
-    default:
-      options.engine = EvalEngine::kColumnar;
-      break;
+  if (engine_id == 1) {
+    options.on_demand_index_min_rows = 0;
+  } else {
+    options.engine = EvalEngine::kColumnar;
   }
   return options;
 }
 
 EvalFixture& P3Fixture(int engine_id) {
-  static EvalFixture* fixtures[4] = {nullptr, nullptr, nullptr, nullptr};
+  static EvalFixture* fixtures[3] = {nullptr, nullptr, nullptr};
   if (fixtures[engine_id] == nullptr) fixtures[engine_id] = new EvalFixture();
   return *fixtures[engine_id];
 }
@@ -320,21 +307,17 @@ void BM_P3_EngineJoin(benchmark::State& state, int engine_id) {
   state.counters["rows"] = static_cast<double>(rows.size());
   state.counters["identical"] = rows == P3Reference() ? 1.0 : 0.0;
 }
-BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_map, 0)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_slots, 1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_columnar, 2)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_columnar_scalar, 3)
-    ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------
 // Experiment P4 (ISSUE 8): decomposing the columnar runtime into join
-// pipeline vs output boundary, scalar vs SIMD kernels. The join-only
-// probe runs the identical pipeline but a constant head, so the
-// boundary neither gathers codes nor decodes dictionaries; subtracting
-// it from the full BM_P3_EngineJoin time isolates the boundary.
+// pipeline vs output boundary. The join-only probe runs the identical
+// pipeline but a constant head, so the boundary neither gathers codes
+// nor decodes dictionaries; subtracting it from the full
+// BM_P3_EngineJoin time isolates the boundary.
 // --------------------------------------------------------------------
 
 /// Title self-join with a constant head: same candidate streams, same
@@ -366,8 +349,6 @@ void BM_P4_JoinPipeline(benchmark::State& state, int engine_id) {
   state.counters["rows"] = static_cast<double>(rows.size());
 }
 BENCHMARK_CAPTURE(BM_P4_JoinPipeline, engine_columnar, 2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_P4_JoinPipeline, engine_columnar_scalar, 3)
     ->Unit(benchmark::kMillisecond);
 
 /// Cold-start cost the columnar engine pays once per table generation:

@@ -64,6 +64,9 @@ void BM_Reformulate(benchmark::State& state) {
   opts.prune_duplicates = state.range(2) != 0;
   opts.max_depth = static_cast<int>(options.peers) + 2;
   opts.max_rewritings = 4096;
+  // Time the search itself: with the plan cache on, every iteration
+  // after the first would be a warm hit.
+  opts.use_plan_cache = false;
   ReformulationStats stats;
   for (auto _ : state) {
     auto r = net.Reformulate(query, opts, &stats);
@@ -100,6 +103,7 @@ void BM_IrrelevantQuery(benchmark::State& state) {
       "q(X) :- peer0:professor(X)");
   ReformulationOptions opts;
   opts.prune_unreachable = state.range(1) != 0;
+  opts.use_plan_cache = false;  // cold search every iteration, as above
   ReformulationStats stats;
   for (auto _ : state) {
     auto r = net.Reformulate(query.value(), opts, &stats);

@@ -1,5 +1,8 @@
 #include "src/common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace revere {
 
 const char* StatusCodeToString(StatusCode code) {
@@ -39,5 +42,15 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void DieOnErrorValue(const Status& status) {
+  std::fprintf(stderr, "Result::value() called on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace revere

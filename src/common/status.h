@@ -84,8 +84,15 @@ class Status {
   std::string message_;
 };
 
+namespace internal {
+/// Prints `status` and aborts: the outcome of reading an error Result's
+/// value, in every build type.
+[[noreturn]] void DieOnErrorValue(const Status& status);
+}  // namespace internal
+
 /// Either a value of type T or an error Status. Access to value() is only
-/// legal when ok(); this is asserted in debug builds.
+/// legal when ok(); calling it on an error prints the status and aborts,
+/// NDEBUG or not.
 template <typename T>
 class Result {
  public:
@@ -100,15 +107,15 @@ class Result {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -123,6 +130,10 @@ class Result {
   }
 
  private:
+  void CheckOk() const {
+    if (!ok()) [[unlikely]] internal::DieOnErrorValue(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

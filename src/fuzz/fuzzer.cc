@@ -313,7 +313,6 @@ namespace {
 /// Which fast paths one differential run enables.
 struct EngineConfig {
   query::EvalEngine engine = query::EvalEngine::kSlots;
-  bool use_simd = true;  // columnar only: vector vs forced-scalar kernels
   bool on_demand_indexes = true;
   bool use_plan_cache = false;
   size_t workers = 0;  // 0 = no thread pool
@@ -390,7 +389,6 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
   cost.eval.engine = cfg.engine;
-  cost.eval.use_simd = cfg.use_simd;
   cost.eval.on_demand_indexes = cfg.on_demand_indexes;
   cost.eval.on_demand_index_min_rows = 0;  // force builds: max coverage
   cost.eval.pool = pool ? &*pool : nullptr;
@@ -921,18 +919,15 @@ CaseReport CheckCase(const FuzzCase& c) {
   CaseReport report;
   OracleContext ctx{&report};
 
-  // The oracle everything is measured against: the seed-era map engine,
+  // The reference everything is measured against: the slot engine on
   // pure scans (beyond pre-built indexes), no cache, no pool, no faults.
+  // Oracle 1 (slots_vs_map) is retired with the map engine; the golden
+  // evaluation corpus (tests/golden/evaluation) pins the slot engine to
+  // that engine's recorded answers instead.
   EngineConfig base_cfg;
-  base_cfg.engine = query::EvalEngine::kMap;
   base_cfg.on_demand_indexes = false;
   EngineRun base = Run(c, base_cfg);
   report.answer_digest = DigestRun(base.outcomes);
-
-  // 1. Slot-compiled evaluation vs the map engine.
-  EngineConfig slots_cfg;
-  slots_cfg.on_demand_indexes = false;
-  CompareRuns(&ctx, "slots_vs_map", base.outcomes, Run(c, slots_cfg).outcomes);
 
   // 2. On-demand indexes (forced via min_rows = 0) vs scans.
   EngineConfig index_cfg;  // defaults: slots + on-demand indexes
@@ -1027,13 +1022,13 @@ CaseReport CheckCase(const FuzzCase& c) {
   // 9. Columnar vectorized engine vs the slot engine (ISSUE 7):
   //    byte-identical statuses, rows, and stats in every configuration
   //    — serial and pooled, fault-free and faulted — plus the digest
-  //    pin back to the map-engine oracle and the stats sanity pass.
+  //    pin back to the scan reference and the stats sanity pass.
   EngineConfig col_cfg = index_cfg;
   col_cfg.engine = query::EvalEngine::kColumnar;
   EngineRun columnar = Run(c, col_cfg);
   CompareRuns(&ctx, "columnar_vs_slots", indexed.outcomes, columnar.outcomes);
   ctx.Check(DigestRun(columnar.outcomes) == report.answer_digest, "columnar_vs_slots",
-            "columnar answer digest diverges from the map-engine digest");
+            "columnar answer digest diverges from the scan-reference digest");
   CheckStatsInvariants(&ctx, c, columnar, /*with_faults=*/false);
 
   EngineConfig col_pool_cfg = col_cfg;
@@ -1055,24 +1050,9 @@ CaseReport CheckCase(const FuzzCase& c) {
               Run(c, col_fault_pool_cfg).outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
-  // 10. SIMD vs forced-scalar columnar kernels (ISSUE 8): the vector
-  //     backend must be bit-identical to the scalar fallback on every
-  //     case — statuses, rows, order, stats — fault-free and faulted,
-  //     plus the digest pin back to the map-engine oracle.
-  EngineConfig col_scalar_cfg = col_cfg;
-  col_scalar_cfg.use_simd = false;
-  EngineRun col_scalar = Run(c, col_scalar_cfg);
-  CompareRuns(&ctx, "columnar_simd_vs_scalar", columnar.outcomes,
-              col_scalar.outcomes);
-  ctx.Check(DigestRun(col_scalar.outcomes) == report.answer_digest,
-            "columnar_simd_vs_scalar",
-            "scalar-kernel answer digest diverges from the map-engine digest");
-
-  EngineConfig col_scalar_fault_cfg = col_fault_cfg;
-  col_scalar_fault_cfg.use_simd = false;
-  CompareRuns(&ctx, "columnar_simd_vs_scalar", col_faulted.outcomes,
-              Run(c, col_scalar_fault_cfg).outcomes, /*compare_stats=*/true,
-              /*compare_cache_flags=*/true);
+  // 10. Retired (columnar_simd_vs_scalar): the kernels have one
+  //     implementation, checked against their definitions in
+  //     tests/common_test.cc.
 
   // 11. Cost-bounded search vs the unlimited search: the
   //     unlimited budget never prunes, a bounded budget is subset-only

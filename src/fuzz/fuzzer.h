@@ -27,8 +27,8 @@ namespace revere::fuzz {
 /// engine configuration the seed semantics has grown fast paths for and
 /// asserts the invariants that make those paths exact:
 ///
-///   slots_vs_map      slot-compiled evaluation == legacy map engine
-///   index_vs_scan     on-demand/pre-built indexes == pure scans
+///   index_vs_scan     on-demand/pre-built indexes == pure scans (the
+///                     slot engine on scans is the reference run)
 ///   plan_cache        cache off == cold miss == warm hit (hit flagged)
 ///   workers           pool-parallel Answer/EvaluateUnion == serial
 ///   fault_replay      same fault seed => byte-identical run (rows,
@@ -47,12 +47,7 @@ namespace revere::fuzz {
 ///                     engine byte for byte (rows, statuses, stats) in
 ///                     every configuration — serial and pooled, fault-
 ///                     free and faulted — and its answer digest matches
-///                     the map-engine oracle's
-///   columnar_simd_vs_scalar
-///                     the columnar engine's vector kernel backend ==
-///                     the forced-scalar fallback (EvalOptions::
-///                     use_simd=false) byte for byte, fault-free and
-///                     faulted, digest-pinned to the map engine
+///                     the scan reference's
 ///   pruned_vs_unlimited
 ///                     the reformulation search with an
 ///                     unlimited budget never prunes by cost or
@@ -71,7 +66,11 @@ namespace revere::fuzz {
 ///                     whole Snapshot/Publish protocol is race-checked
 ///
 /// plus cross-cutting stats invariants (peers_contacted bounds,
-/// completeness arithmetic, plan-cache hit/miss flags).
+/// completeness arithmetic, plan-cache hit/miss flags). Two oracles are
+/// retired: slots_vs_map went with the std::map engine (the golden
+/// evaluation corpus under tests/golden/evaluation replays its recorded
+/// answers instead) and columnar_simd_vs_scalar with the intrinsic
+/// kernel backends.
 
 /// One stored relation in a case: all-string columns, bag semantics.
 struct FuzzTable {
@@ -142,7 +141,7 @@ Status BuildNetwork(const FuzzCase& c, piazza::PdmsNetwork* net);
 
 /// One violated invariant.
 struct OracleFailure {
-  std::string oracle;  // "slots_vs_map", "fault_replay", ...
+  std::string oracle;  // "index_vs_scan", "fault_replay", ...
   std::string detail;  // human-readable: query index, counts, values
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -23,123 +22,6 @@ using storage::Row;
 using storage::SnapshotSet;
 using storage::TableVersion;
 using storage::Value;
-
-// ---------------------------------------------------------------------
-// Legacy engine: string-keyed map bindings copied per candidate row.
-// Kept verbatim (EvalEngine::kMap) as the reference implementation for
-// differential tests and as the bench baseline the slot engine is
-// measured against.
-// ---------------------------------------------------------------------
-
-using ValueBinding = std::map<std::string, Value>;
-
-// Number of argument positions of `atom` fixed under `binding`.
-int BoundPositions(const Atom& atom, const ValueBinding& binding) {
-  int n = 0;
-  for (const auto& t : atom.args) {
-    if (!t.is_var() || binding.count(t.var()) > 0) ++n;
-  }
-  return n;
-}
-
-// Tries to extend `binding` so that `row` matches `atom`; returns false
-// (leaving binding untouched) on mismatch.
-bool MatchRow(const Atom& atom, const Row& row, ValueBinding* binding) {
-  ValueBinding local = *binding;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const QTerm& t = atom.args[i];
-    if (t.is_var()) {
-      auto it = local.find(t.var());
-      if (it == local.end()) {
-        local[t.var()] = row[i];
-      } else if (!(it->second == row[i])) {
-        return false;
-      }
-    } else if (!(t.value() == row[i])) {
-      return false;
-    }
-  }
-  *binding = std::move(local);
-  return true;
-}
-
-void MapSearch(const std::vector<ResolvedAtom>& atoms,
-               std::vector<bool>* done, const ValueBinding& binding,
-               const std::vector<QTerm>& head, RowDedup* dedup) {
-  // All atoms satisfied: emit the head tuple.
-  size_t remaining = 0;
-  for (bool d : *done) {
-    if (!d) ++remaining;
-  }
-  if (remaining == 0) {
-    Row result;
-    result.reserve(head.size());
-    for (const auto& t : head) {
-      if (t.is_var()) {
-        auto it = binding.find(t.var());
-        result.push_back(it == binding.end() ? Value() : it->second);
-      } else {
-        result.push_back(t.value());
-      }
-    }
-    dedup->EmitIfNew(std::move(result));
-    return;
-  }
-
-  // Pick the unsolved atom with the most bound positions.
-  size_t best = atoms.size();
-  int best_bound = -1;
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if ((*done)[i]) continue;
-    int b = BoundPositions(*atoms[i].atom, binding);
-    if (b > best_bound) {
-      best_bound = b;
-      best = i;
-    }
-  }
-  const TableVersion* table = atoms[best].snap.get();
-  const Atom& atom = *atoms[best].atom;
-  (*done)[best] = true;
-
-  // If some position is bound and indexed, probe; else scan.
-  std::optional<size_t> probe_col;
-  Value probe_key;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const QTerm& t = atom.args[i];
-    Value key;
-    bool bound = false;
-    if (!t.is_var()) {
-      key = t.value();
-      bound = true;
-    } else {
-      auto it = binding.find(t.var());
-      if (it != binding.end()) {
-        key = it->second;
-        bound = true;
-      }
-    }
-    if (bound && table->HasIndex(i)) {
-      probe_col = i;
-      probe_key = key;
-      break;
-    }
-  }
-
-  auto consider = [&](const Row& row) {
-    ValueBinding next = binding;
-    if (MatchRow(atom, row, &next)) {
-      MapSearch(atoms, done, next, head, dedup);
-    }
-  };
-  if (probe_col) {
-    for (size_t idx : table->LookupIndices(*probe_col, probe_key)) {
-      consider(table->row(idx));
-    }
-  } else {
-    for (size_t r = 0; r < table->size(); ++r) consider(table->row(r));
-  }
-  (*done)[best] = false;
-}
 
 // ---------------------------------------------------------------------
 // Slot engine: per CQ, variable names compile to dense integer slots;
@@ -336,9 +218,9 @@ void SlotSearch(SlotState& st, size_t remaining) {
 
 /// Evaluates `query`, appending head tuples that are new w.r.t.
 /// `dedup` to its output vector — the single-dedup primitive both
-/// EvaluateCQ and the serial EvaluateUnion build on. All three engines
-/// now emit through the same RowDedup (ISSUE 8): the recursive engines
-/// per row, the columnar engine batch-wise at its output boundary.
+/// EvaluateCQ and the serial EvaluateUnion build on. Both engines emit
+/// through the same RowDedup: the slot engine per row, the columnar
+/// engine batch-wise at its output boundary.
 Status EvaluateInto(const storage::Catalog& catalog,
                     const ConjunctiveQuery& query, const EvalOptions& options,
                     RowDedup* dedup) {
@@ -347,14 +229,9 @@ Status EvaluateInto(const storage::Catalog& catalog,
   }
   REVERE_ASSIGN_OR_RETURN(auto atoms,
                           ResolveAtoms(catalog, query, options.snapshots));
-  if (options.engine == EvalEngine::kSlots) {
-    SlotProgram prog = CompileSlots(query, atoms);
-    SlotState st(prog, options, dedup);
-    SlotSearch(st, prog.atoms.size());
-  } else {
-    std::vector<bool> done(atoms.size(), false);
-    MapSearch(atoms, &done, {}, query.head(), dedup);
-  }
+  SlotProgram prog = CompileSlots(query, atoms);
+  SlotState st(prog, options, dedup);
+  SlotSearch(st, prog.atoms.size());
   return Status::Ok();
 }
 
@@ -443,8 +320,8 @@ Result<std::vector<Row>> EvaluateUnion(
   }
 
   // Serial path: one RowDedup over `out` shared across members, for
-  // every engine — code-domain hashes (columnar) and string hashes
-  // (map/slots) agree bit for bit, so members of any engine mix.
+  // either engine — code-domain hashes (columnar) and string hashes
+  // (slots) agree bit for bit, so members of either engine mix.
   RowDedup dedup(&out);
   for (size_t i = 0; i < members.size(); ++i) {
     obs::Span span;

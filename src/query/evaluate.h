@@ -19,34 +19,31 @@ class Tracer;
 
 namespace revere::query {
 
-/// Which CQ evaluation engine to run. All three produce byte-identical
-/// results (same rows, same order) — the differential fuzz oracles and
+/// Which CQ evaluation engine to run. Both produce byte-identical
+/// results (same rows, same order) — the differential fuzz oracles, the
+/// golden evaluation corpus (tests/golden/evaluation) and
 /// tests/parallel_test.cc enforce this — so the choice is purely a
-/// performance/reference knob.
+/// performance knob.
 enum class EvalEngine {
-  /// The original std::map<std::string, Value> binding engine, kept
-  /// verbatim as the reference implementation (ignores the index
-  /// options below).
-  kMap,
   /// Slot-compiled bindings: per CQ, variables are mapped to dense
   /// integer slots once, and the binding is a std::vector<Value> plus a
-  /// bound-bitmask mutated and rolled back in place during the search —
-  /// no per-row map copies.
+  /// bound-bitmask mutated and rolled back in place during the search.
+  /// With on_demand_indexes = false it is the reference evaluation the
+  /// oracles compare against.
   kSlots,
-  /// Columnar vectorized engine (ISSUE 7): evaluates against each
-  /// table's dictionary-encoded ColumnTable snapshot, joining and
-  /// filtering on integer codes in ~1024-tuple batches over a bump
-  /// arena, materializing Rows only at the output boundary. Replays the
-  /// slot engine's greedy join order (which is query-static), so output
-  /// is byte-identical. Ignores the index options below — the snapshot
+  /// Columnar vectorized engine: evaluates against each table's
+  /// dictionary-encoded ColumnTable snapshot, joining and filtering on
+  /// integer codes in ~1024-tuple batches over a bump arena,
+  /// materializing Rows only at the output boundary. Replays the slot
+  /// engine's greedy join order (which is query-static), so output is
+  /// byte-identical. Ignores the index options below — the snapshot
   /// carries a grouped index on every column.
   kColumnar,
 };
 
 /// Knobs for conjunctive-query evaluation. The defaults are the fast
-/// path; the legacy knobs exist so benches can measure each optimization
-/// in isolation and tests can differentially check the engines against
-/// each other.
+/// serving path; turning on_demand_indexes off gives the pure-scan
+/// reference the differential tests check the other paths against.
 struct EvalOptions {
   /// See EvalEngine. kSlots remains the default serving engine;
   /// kColumnar is the vectorized fast path for read-heavy workloads.
@@ -58,12 +55,6 @@ struct EvalOptions {
   /// Do not bother building an on-demand index for tables smaller than
   /// this — a scan of a tiny table beats the build cost.
   size_t on_demand_index_min_rows = 32;
-  /// Columnar engine only: run the hot loops on the compiled vector
-  /// kernel backend (common/simd.h). `false` forces the scalar kernel
-  /// table at runtime — answers are byte-identical either way (the
-  /// fuzzer's columnar_simd_vs_scalar oracle holds this invariant);
-  /// the knob exists for that differential and for benchmarks.
-  bool use_simd = true;
   /// When set, EvaluateUnion evaluates member queries in parallel on
   /// this pool. Results are merged in query order through one dedup
   /// set, so output is byte-identical for any worker count (and to the

@@ -18,12 +18,12 @@ namespace revere::query {
 /// string hashes total — no per-row node allocation, no copy into a
 /// side set, and no re-hashing of row contents when the table grows.
 ///
-/// Semantics are identical to the unordered_set<Row> dedup the
-/// recursive engines use: first occurrence wins, equality is the strict
-/// (type-exact) Row operator==. All three engines emit through this —
-/// the recursive engines per materialized row (EmitIfNew), the columnar
-/// engine per batch at its output boundary (ClaimIfNew + deferred
-/// decode), and the parallel union merge for every engine. Because the
+/// Semantics are those of an unordered_set<Row> seen set: first
+/// occurrence wins, equality is the strict (type-exact) Row operator==.
+/// Both engines emit through this — the slot engine per materialized
+/// row (EmitIfNew), the columnar engine per batch at its output
+/// boundary (ClaimIfNew + deferred decode), and the parallel union
+/// merge for either engine. Because the
 /// columnar boundary computes the very same HashRow value from column
 /// codes (see common/hash.h HashStep), string-hashed and code-hashed
 /// entries mix freely in one table — which is what lets a union share a
@@ -97,14 +97,13 @@ class RowDedup {
 /// allocations); Rows are materialized — dictionary decode — only at
 /// the output boundary, where they emit through `dedup`.
 ///
-/// ISSUE 8: the hot loops run on the common/simd.h kernel layer —
-/// vectorized constant filters and repeated-variable equality over code
-/// batches, vectorized gathers through the grouped index, and a batched
-/// output boundary that hashes rows directly from column codes
-/// (HashStep over ColumnTable::dict_hashes, reproducing HashRow bit for
-/// bit) and dictionary-decodes only surviving first-occurrence rows,
-/// column-major. `options.use_simd` selects the runtime kernel table;
-/// answers are byte-identical either way.
+/// The hot loops run on the common/simd.h batch kernels — constant
+/// filters and repeated-variable equality over code batches, gathers
+/// through the grouped index, and a batched output boundary that hashes
+/// rows directly from column codes (HashStep over
+/// ColumnTable::dict_hashes, reproducing HashRow bit for bit) and
+/// dictionary-decodes only surviving first-occurrence rows,
+/// column-major.
 ///
 /// Output contract: byte-identical to the slot engine — same rows, same
 /// order, for every query. The slot engine's greedy most-bound-first
@@ -112,7 +111,7 @@ class RowDedup {
 /// values), so this engine replays that order statically; all candidate
 /// enumeration paths are ascending-row-order, matching the slot
 /// engine's LookupIndices/scan order; and RowDedup preserves the
-/// first-occurrence-wins semantics of the other engines' seen sets.
+/// first-occurrence-wins semantics of the slot engine.
 Status EvaluateColumnarInto(const storage::Catalog& catalog,
                             const ConjunctiveQuery& query,
                             const EvalOptions& options, RowDedup* dedup);

@@ -55,7 +55,7 @@ class ColumnTable {
     std::vector<uint64_t> dict_hashes;
     /// Per-row codes: codes[r] encodes rows[r][col]. The first
     /// row_count entries are real; the vector is over-allocated with
-    /// simd::kPad trailing zero codes so whole-lane SIMD tail reads
+    /// simd::kPad trailing zero codes so whole-lane kernel tail reads
     /// stay in bounds (code 0 is valid whenever row_count > 0).
     std::vector<uint32_t> codes;
     /// Stable group-by-code: rows with code c are

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -283,9 +284,9 @@ TEST(HashTest, HashCombineIsHashStepOverStdHash) {
 }
 
 // ---------------------------------------------------------------------
-// SIMD kernel layer (ISSUE 8): every vector kernel must agree with the
-// scalar reference element for element, including whole-lane padded
-// tails, for every alignment/length class.
+// Batch kernel layer: every kernel must compute its definition element
+// for element, including whole-lane padded tails, for every
+// alignment/length class, and write nothing past RoundUpLanes(n).
 // ---------------------------------------------------------------------
 
 class SimdKernelTest : public ::testing::TestWithParam<size_t> {};
@@ -296,131 +297,167 @@ INSTANTIATE_TEST_SUITE_P(Lengths, SimdKernelTest,
 
 namespace {
 
+constexpr uint32_t kSentinel = 0xAA;
+
 std::vector<uint32_t> RandomU32(Rng* rng, size_t n, uint32_t lo, uint32_t hi) {
   std::vector<uint32_t> v(simd::PaddedCount(n));
   for (auto& x : v) x = static_cast<uint32_t>(rng->UniformInt(lo, hi));
   return v;
 }
 
-}  // namespace
-
-TEST_P(SimdKernelTest, FillIotaCopyMatchScalar) {
-  const size_t n = GetParam();
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  // Same sentinel in both buffers: the compare then also proves neither
-  // backend writes past RoundUpLanes(n) into the pad slack.
-  std::vector<uint32_t> a(simd::PaddedCount(n), 0xAA), b(simd::PaddedCount(n),
-                                                         0xAA);
-  vec.fill_u32(42, n, a.data());
-  sc.fill_u32(42, n, b.data());
-  EXPECT_EQ(a, b);
-  vec.iota_u32(17, n, a.data());
-  sc.iota_u32(17, n, b.data());
-  EXPECT_EQ(a, b);
-  Rng rng(1);
-  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
-  vec.copy_u32(src.data(), n, a.data());
-  sc.copy_u32(src.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  std::vector<uint64_t> ha(simd::PaddedCount(n), 1), hb(simd::PaddedCount(n),
-                                                        1);
-  vec.fill_u64(0xdeadbeefcafef00dULL, n, ha.data());
-  sc.fill_u64(0xdeadbeefcafef00dULL, n, hb.data());
-  EXPECT_EQ(ha, hb);
+/// The pad slack past the kernel's whole lanes still holds the sentinel.
+template <typename T>
+void ExpectSlackUntouched(const std::vector<T>& v, size_t n) {
+  for (size_t i = simd::RoundUpLanes(n); i < v.size(); ++i) {
+    EXPECT_EQ(v[i], T{kSentinel}) << "slack element " << i;
+  }
 }
 
-TEST_P(SimdKernelTest, GatherMatchesScalarAndAllowsAliasing) {
+/// Reference mask: bit i = pred(i) for i < n, all other bits zero.
+template <typename Pred>
+std::vector<uint64_t> MaskOf(size_t n, Pred pred) {
+  std::vector<uint64_t> mask(simd::MaskWords(n), 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (pred(i)) mask[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return mask;
+}
+
+}  // namespace
+
+TEST_P(SimdKernelTest, FillIotaCopyComputeTheirDefinitions) {
   const size_t n = GetParam();
+  const size_t lanes = simd::RoundUpLanes(n);
+  std::vector<uint32_t> a(simd::PaddedCount(n), kSentinel);
+  simd::FillU32(42, n, a.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(a[i], 42u);
+  ExpectSlackUntouched(a, n);
+
+  simd::IotaU32(17, n, a.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(a[i], 17u + i);
+  ExpectSlackUntouched(a, n);
+
+  Rng rng(1);
+  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
+  simd::CopyU32(src.data(), n, a.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(a[i], src[i]);
+  ExpectSlackUntouched(a, n);
+
+  std::vector<uint64_t> h(simd::PaddedCount(n), kSentinel);
+  simd::FillU64(0xdeadbeefcafef00dULL, n, h.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(h[i], 0xdeadbeefcafef00dULL);
+  ExpectSlackUntouched(h, n);
+}
+
+TEST_P(SimdKernelTest, GatherComputesItsDefinitionAndAllowsAliasing) {
+  const size_t n = GetParam();
+  const size_t lanes = simd::RoundUpLanes(n);
   Rng rng(2);
   std::vector<uint32_t> vals = RandomU32(&rng, 300, 0, 1u << 20);
   std::vector<uint32_t> idx = RandomU32(&rng, n, 0, 299);
-  std::vector<uint32_t> a(simd::PaddedCount(n)), b(simd::PaddedCount(n));
-  simd::VectorOps().gather_u32(vals.data(), idx.data(), n, a.data());
-  simd::ScalarOps().gather_u32(vals.data(), idx.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  // idx == out aliasing: must equal the non-aliased result. Only the
-  // processed prefix is defined — the pad slack past RoundUpLanes(n)
-  // still holds the (random) index values.
+  std::vector<uint32_t> out(simd::PaddedCount(n), kSentinel);
+  simd::GatherU32(vals.data(), idx.data(), n, out.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(out[i], vals[idx[i]]);
+  ExpectSlackUntouched(out, n);
+  // idx == out aliasing: each lane loads before it stores. Only the
+  // processed prefix is defined — the slack past RoundUpLanes(n) still
+  // holds the (random) index values.
   std::vector<uint32_t> alias = idx;
-  simd::VectorOps().gather_u32(vals.data(), alias.data(), n, alias.data());
-  alias.resize(simd::RoundUpLanes(n));
-  std::vector<uint32_t> prefix(a.begin(),
-                               a.begin() + static_cast<long>(alias.size()));
-  EXPECT_EQ(alias, prefix);
+  simd::GatherU32(vals.data(), alias.data(), n, alias.data());
+  for (size_t i = 0; i < lanes; ++i) EXPECT_EQ(alias[i], vals[idx[i]]);
+  for (size_t i = lanes; i < alias.size(); ++i) EXPECT_EQ(alias[i], idx[i]);
 }
 
-TEST_P(SimdKernelTest, MasksAndCompactMatchScalar) {
+TEST_P(SimdKernelTest, MaskKernelsComputeTheirDefinitions) {
   const size_t n = GetParam();
   Rng rng(3);
   // Narrow value range so equalities actually hit.
   std::vector<uint32_t> a = RandomU32(&rng, n, 0, 3);
   std::vector<uint32_t> b = RandomU32(&rng, n, 0, 3);
-  std::vector<uint64_t> mv(simd::MaskWords(n)), ms(simd::MaskWords(n));
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  vec.eq_mask_set(a.data(), 2, n, mv.data());
-  sc.eq_mask_set(a.data(), 2, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_and(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_and(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_set(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_set(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq_mask_and(b.data(), 1, n, mv.data());
-  sc.eq_mask_and(b.data(), 1, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  // Mask bits beyond n must be zero (compact relies on it).
-  if (n % 64 != 0) {
-    EXPECT_EQ(mv[n / 64] >> (n % 64), 0u);
-  }
-  std::vector<uint32_t> cv(simd::PaddedCount(n), 0), cs(simd::PaddedCount(n),
-                                                        0);
-  size_t kv = vec.compact_u32(a.data(), mv.data(), n, cv.data());
-  size_t ks = sc.compact_u32(a.data(), ms.data(), n, cs.data());
-  ASSERT_EQ(kv, ks);
-  for (size_t i = 0; i < kv; ++i) EXPECT_EQ(cv[i], cs[i]);
-  // All-ones and all-zeros masks as edge cases.
-  std::vector<uint64_t> full(simd::MaskWords(n), ~uint64_t{0});
-  if (n % 64 != 0) full[n / 64] = (uint64_t{1} << (n % 64)) - 1;
-  kv = vec.compact_u32(a.data(), full.data(), n, cv.data());
-  ASSERT_EQ(kv, n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(cv[i], a[i]);
-  std::vector<uint64_t> none(simd::MaskWords(n), 0);
-  EXPECT_EQ(vec.compact_u32(a.data(), none.data(), n, cv.data()), 0u);
+  auto eq_a2 = [&](size_t i) { return a[i] == 2; };
+  auto eq_b1 = [&](size_t i) { return b[i] == 1; };
+  auto eq_ab = [&](size_t i) { return a[i] == b[i]; };
+
+  // Start from all-ones so the set kernels must clear bits >= n.
+  std::vector<uint64_t> mask(simd::MaskWords(n), ~uint64_t{0});
+  simd::EqMaskSet(a.data(), 2, n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, eq_a2));
+  simd::Eq2MaskAnd(a.data(), b.data(), n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, [&](size_t i) { return eq_a2(i) && eq_ab(i); }));
+
+  std::fill(mask.begin(), mask.end(), ~uint64_t{0});
+  simd::Eq2MaskSet(a.data(), b.data(), n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, eq_ab));
+  simd::EqMaskAnd(b.data(), 1, n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, [&](size_t i) { return eq_ab(i) && eq_b1(i); }));
+
+  // The and kernels keep bits >= n zero even from an all-ones start.
+  std::fill(mask.begin(), mask.end(), ~uint64_t{0});
+  simd::EqMaskAnd(a.data(), 2, n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, eq_a2));
+  std::fill(mask.begin(), mask.end(), ~uint64_t{0});
+  simd::Eq2MaskAnd(a.data(), b.data(), n, mask.data());
+  EXPECT_EQ(mask, MaskOf(n, eq_ab));
 }
 
-TEST_P(SimdKernelTest, HashMixMatchesScalarAndHashStep) {
+TEST_P(SimdKernelTest, CompactKeepsSetLanesInOrder) {
   const size_t n = GetParam();
+  Rng rng(5);
+  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
+  std::vector<uint32_t> out(simd::PaddedCount(n), kSentinel);
+
+  std::vector<uint64_t> full = MaskOf(n, [](size_t) { return true; });
+  ASSERT_EQ(simd::CompactU32(src.data(), full.data(), n, out.data()), n);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], src[i]);
+
+  std::vector<uint64_t> none = MaskOf(n, [](size_t) { return false; });
+  EXPECT_EQ(simd::CompactU32(src.data(), none.data(), n, out.data()), 0u);
+
+  std::vector<bool> keep(n);
+  for (size_t i = 0; i < n; ++i) keep[i] = rng.Index(3) == 0;
+  std::vector<uint32_t> want;
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) want.push_back(src[i]);
+  }
+  std::vector<uint64_t> some = MaskOf(n, [&](size_t i) { return keep[i]; });
+  ASSERT_EQ(simd::CompactU32(src.data(), some.data(), n, out.data()),
+            want.size());
+  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(out[i], want[i]);
+}
+
+TEST_P(SimdKernelTest, HashMixFollowsTheHashStepRecurrence) {
+  const size_t n = GetParam();
+  const size_t lanes = simd::RoundUpLanes(n);
   Rng rng(4);
   std::vector<uint64_t> vh(64 + simd::kPad);
   for (auto& x : vh) x = rng.Next();
   std::vector<uint32_t> codes = RandomU32(&rng, n, 0, 63);
-  std::vector<uint64_t> hv(simd::PaddedCount(n)), hs(simd::PaddedCount(n));
-  for (size_t i = 0; i < hv.size(); ++i) hv[i] = hs[i] = i * 1315423911u;
-  simd::VectorOps().hash_mix(vh.data(), codes.data(), n, hv.data());
-  simd::ScalarOps().hash_mix(vh.data(), codes.data(), n, hs.data());
-  EXPECT_EQ(hv, hs);
-  // And both must be the plain HashStep recurrence.
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hv[i], HashStep(i * 1315423911u, vh[codes[i]]));
+  std::vector<uint64_t> h(simd::PaddedCount(n), kSentinel);
+  for (size_t i = 0; i < lanes; ++i) h[i] = i * 1315423911u;
+  simd::HashMix(vh.data(), codes.data(), n, h.data());
+  for (size_t i = 0; i < lanes; ++i) {
+    EXPECT_EQ(h[i], HashStep(i * 1315423911u, vh[codes[i]]));
   }
-  simd::VectorOps().hash_mix_const(0x12345678u, n, hv.data());
-  simd::ScalarOps().hash_mix_const(0x12345678u, n, hs.data());
-  EXPECT_EQ(hv, hs);
+  ExpectSlackUntouched(h, n);
+
+  std::vector<uint64_t> before = h;
+  simd::HashMixConst(0x12345678u, n, h.data());
+  for (size_t i = 0; i < lanes; ++i) {
+    EXPECT_EQ(h[i], HashStep(before[i], 0x12345678u));
+  }
+  ExpectSlackUntouched(h, n);
 }
 
-TEST(SimdBackendTest, OpsSelectionIsConsistent) {
-  // Ops(false) is always the scalar table; Ops(true) is the compiled
-  // backend (which may legitimately be scalar under REVERE_NO_SIMD).
-  EXPECT_EQ(&simd::Ops(false), &simd::ScalarOps());
-  EXPECT_EQ(&simd::Ops(true), &simd::VectorOps());
-  EXPECT_NE(simd::BackendName(), nullptr);
-#if defined(REVERE_NO_SIMD)
-  EXPECT_FALSE(simd::HasVectorBackend());
-  EXPECT_STREQ(simd::BackendName(), "scalar");
-#endif
+// ---------------------------------------------------------------------
+// Result::value() on an error aborts in every build type, NDEBUG too.
+// ---------------------------------------------------------------------
+
+TEST(ResultDeathTest, ValueOfAnErrorAborts) {
+  Result<int> error = Status::NotFound("no such peer");
+  EXPECT_DEATH((void)error.value(), "NotFound: no such peer");
+  EXPECT_DEATH((void)std::move(error).value(), "NotFound: no such peer");
+  const Result<std::string> const_error = Status::InvalidArgument("bad");
+  EXPECT_DEATH((void)const_error.value(), "InvalidArgument: bad");
 }
 
 }  // namespace

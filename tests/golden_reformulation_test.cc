@@ -1,5 +1,6 @@
-// Replays the frozen reformulation corpus in tests/golden/reformulation.
+// Replays the frozen golden corpora under tests/golden.
 //
+// reformulation/:
 // Each `case_*.seed` file is a fuzz case (src/fuzz seed-file format)
 // recorded from the breadth-first reformulation search that the
 // best-first search replaced; `MANIFEST` pins one digest per case. A
@@ -13,6 +14,12 @@
 //
 // The seed files carry the older 9-token `reform` line, so every replay
 // also exercises the loader's backward-compatible path.
+//
+// evaluation/: fuzz cases recorded from the std::map binding engine that
+// the slot engine replaced as the evaluation reference, digested the
+// same way. Every case must replay to its digest under the slot engine,
+// scanning and with on-demand indexes, and under the columnar engine,
+// so the corpus keeps the guarantee the map engine anchored.
 
 #include <gtest/gtest.h>
 
@@ -20,14 +27,18 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/pdms.h"
+#include "src/query/cq.h"
+#include "src/query/evaluate.h"
 
 namespace revere::fuzz {
 namespace {
@@ -44,6 +55,8 @@ using storage::Value;
 
 const std::string kCorpusDir = std::string(REVERE_GOLDEN_DIR) +
                                "/reformulation";
+const std::string kEvaluationDir = std::string(REVERE_GOLDEN_DIR) +
+                                   "/evaluation";
 
 struct Outcome {
   Status status;
@@ -69,9 +82,10 @@ void ApplyFaults(const FuzzCase& c, FaultInjector* injector) {
   }
 }
 
-/// Answers every query of `c` on a fresh network (plan cache off, slot
-/// engine), with or without the case's fault plan.
-std::vector<Outcome> RunCase(const FuzzCase& c, bool with_faults) {
+/// Answers every query of `c` on a fresh network (plan cache off,
+/// evaluation per `eval`), with or without the case's fault plan.
+std::vector<Outcome> RunCase(const FuzzCase& c, bool with_faults,
+                             const query::EvalOptions& eval = {}) {
   std::vector<Outcome> out;
   PdmsNetwork net;
   Status built = BuildNetwork(c, &net);
@@ -92,6 +106,7 @@ std::vector<Outcome> RunCase(const FuzzCase& c, bool with_faults) {
   cost.faults = injector ? &*injector : nullptr;
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
+  cost.eval = eval;
   for (const auto& q : c.queries) {
     Outcome o;
     Result<std::vector<Row>> rows = net.Answer(q, reform, &o.stats, cost);
@@ -137,9 +152,9 @@ struct ManifestEntry {
   std::string digest;  // 16 hex digits
 };
 
-std::vector<ManifestEntry> ReadManifest() {
+std::vector<ManifestEntry> ReadManifest(const std::string& dir) {
   std::vector<ManifestEntry> entries;
-  std::ifstream in(kCorpusDir + "/MANIFEST");
+  std::ifstream in(dir + "/MANIFEST");
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -159,7 +174,7 @@ std::string Hex(uint64_t v) {
 }
 
 TEST(GoldenReformulationTest, CorpusReplaysToItsDigests) {
-  std::vector<ManifestEntry> manifest = ReadManifest();
+  std::vector<ManifestEntry> manifest = ReadManifest(kCorpusDir);
   ASSERT_GE(manifest.size(), 64u) << "corpus missing under " << kCorpusDir;
 
   size_t capped = 0, depth_cut = 0, faulted_cases = 0;
@@ -192,7 +207,7 @@ TEST(GoldenReformulationTest, CorpusReplaysToItsDigests) {
 }
 
 TEST(GoldenReformulationTest, RecordedCasesResaveInTheCurrentFormat) {
-  std::vector<ManifestEntry> manifest = ReadManifest();
+  std::vector<ManifestEntry> manifest = ReadManifest(kCorpusDir);
   ASSERT_FALSE(manifest.empty());
   Result<FuzzCase> loaded = LoadCase(kCorpusDir + "/" + manifest[0].file);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -203,6 +218,64 @@ TEST(GoldenReformulationTest, RecordedCasesResaveInTheCurrentFormat) {
   EXPECT_EQ(Hex(CaseDigest(RunCase(reparsed.value(), false),
                            RunCase(reparsed.value(), true))),
             manifest[0].digest);
+}
+
+/// The evaluation configurations the evaluation corpus must replay
+/// under.
+std::vector<std::pair<std::string, query::EvalOptions>> EvalConfigs() {
+  query::EvalOptions scan;
+  scan.on_demand_indexes = false;
+  query::EvalOptions indexed;
+  indexed.on_demand_index_min_rows = 0;  // build every index it can use
+  query::EvalOptions columnar;
+  columnar.engine = query::EvalEngine::kColumnar;
+  return {{"slots_scan", scan},
+          {"slots_indexed", indexed},
+          {"columnar", columnar}};
+}
+
+TEST(GoldenEvaluationTest, CorpusReplaysToItsDigestsUnderEveryEngine) {
+  std::vector<ManifestEntry> manifest = ReadManifest(kEvaluationDir);
+  ASSERT_GE(manifest.size(), 64u) << "corpus missing under " << kEvaluationDir;
+
+  size_t joins = 0, repeated = 0, constants = 0, faulted_cases = 0;
+  for (const ManifestEntry& entry : manifest) {
+    SCOPED_TRACE(entry.file);
+    Result<FuzzCase> loaded = LoadCase(kEvaluationDir + "/" + entry.file);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const FuzzCase& c = loaded.value();
+    std::vector<Outcome> scan;  // fault-free, first configuration
+    for (const auto& [name, eval] : EvalConfigs()) {
+      SCOPED_TRACE(name);
+      std::vector<Outcome> fault_free = RunCase(c, false, eval);
+      EXPECT_EQ(Hex(CaseDigest(fault_free, RunCase(c, true, eval))),
+                entry.digest);
+      if (scan.empty()) scan = std::move(fault_free);
+    }
+
+    bool join = false, repeat = false, constant = false;
+    for (size_t i = 0; i < c.queries.size(); ++i) {
+      const std::vector<query::Atom>& body = c.queries[i].body();
+      join = join || (body.size() >= 2 && !scan[i].rows.empty());
+      for (const query::Atom& atom : body) {
+        std::set<std::string> vars;
+        for (const query::QTerm& t : atom.args) {
+          constant = constant || !t.is_var();
+          repeat = repeat || (t.is_var() && !vars.insert(t.var()).second);
+        }
+      }
+    }
+    joins += join ? 1 : 0;
+    repeated += repeat ? 1 : 0;
+    constants += constant ? 1 : 0;
+    faulted_cases += c.faults.empty() ? 0 : 1;
+  }
+  // The corpus covers joins that produce rows, repeated variables,
+  // constant filters and faults, not just single-atom scans.
+  EXPECT_GE(joins, 12u);
+  EXPECT_GE(repeated, 12u);
+  EXPECT_GE(constants, 12u);
+  EXPECT_GE(faulted_cases, 12u);
 }
 
 }  // namespace

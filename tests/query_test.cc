@@ -175,12 +175,13 @@ TEST_F(EvaluateTest, ArityMismatchErrors) {
   EXPECT_FALSE(EvaluateCQ(catalog_, MustParse("q(X) :- course(X)")).ok());
 }
 
-TEST_F(EvaluateTest, SlotAndMapEnginesAgree) {
-  EvalOptions map_engine;
-  map_engine.engine = EvalEngine::kMap;
-  map_engine.on_demand_indexes = false;
-  EvalOptions slot_engine;  // slots + on-demand indexes (defaults)
-  slot_engine.on_demand_index_min_rows = 0;  // force on tiny tables too
+TEST_F(EvaluateTest, IndexedAndColumnarMatchScanReference) {
+  EvalOptions scan;  // the reference: slots, no on-demand indexes
+  scan.on_demand_indexes = false;
+  EvalOptions indexed;  // slots + on-demand indexes (defaults)
+  indexed.on_demand_index_min_rows = 0;  // force on tiny tables too
+  EvalOptions columnar;
+  columnar.engine = EvalEngine::kColumnar;
   const std::vector<std::string> queries = {
       "q(X) :- course(X, T, D)",
       "q(X, T) :- course(X, T, \"CSE\")",
@@ -192,18 +193,20 @@ TEST_F(EvaluateTest, SlotAndMapEnginesAgree) {
       "q(C) :- teaches(C, P), teaches(C, Q), course(C, T, D)",
   };
   for (const auto& text : queries) {
-    auto via_map = EvaluateCQ(catalog_, MustParse(text), map_engine);
-    auto via_slots = EvaluateCQ(catalog_, MustParse(text), slot_engine);
-    ASSERT_TRUE(via_map.ok()) << text;
-    ASSERT_TRUE(via_slots.ok()) << text;
-    EXPECT_EQ(via_map.value(), via_slots.value()) << text;
+    auto reference = EvaluateCQ(catalog_, MustParse(text), scan);
+    ASSERT_TRUE(reference.ok()) << text;
+    for (const auto& options : {indexed, columnar}) {
+      auto got = EvaluateCQ(catalog_, MustParse(text), options);
+      ASSERT_TRUE(got.ok()) << text;
+      EXPECT_EQ(reference.value(), got.value()) << text;
+    }
   }
 }
 
-// The three evaluation engines (string-keyed map bindings, compiled
-// slots with and without on-demand indexes, and the columnar
-// vectorized engine) must be observationally identical — same rows,
-// same order — on randomized tables, not just the handpicked fixture.
+// The evaluation paths (compiled slots with and without on-demand
+// indexes, and the columnar vectorized engine) must be observationally
+// identical — same rows, same order — on randomized tables, not just
+// the handpicked fixture. The slot engine on scans is the reference.
 TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
   Rng rng(7);
   const std::vector<std::string> shapes = {
@@ -229,9 +232,6 @@ TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
                 .ok());
       }
     }
-    EvalOptions map_engine;
-    map_engine.engine = EvalEngine::kMap;
-    map_engine.on_demand_indexes = false;
     EvalOptions slots_no_index;
     slots_no_index.on_demand_indexes = false;
     EvalOptions slots_indexed;
@@ -239,9 +239,9 @@ TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
     EvalOptions columnar;
     columnar.engine = EvalEngine::kColumnar;
     for (const auto& text : shapes) {
-      auto reference = EvaluateCQ(catalog, MustParse(text), map_engine);
+      auto reference = EvaluateCQ(catalog, MustParse(text), slots_no_index);
       ASSERT_TRUE(reference.ok()) << text;
-      for (const auto& options : {slots_no_index, slots_indexed, columnar}) {
+      for (const auto& options : {slots_indexed, columnar}) {
         auto got = EvaluateCQ(catalog, MustParse(text), options);
         ASSERT_TRUE(got.ok()) << text;
         EXPECT_EQ(reference.value(), got.value())
